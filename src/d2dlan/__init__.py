@@ -5,39 +5,33 @@ proposal-driven tree formation, LP seed scheduling with individual-rationality
 incentives, and grim-trigger cooperation enforcement.
 """
 
-from .channel import (RadioConfig, RateTable, Topology, lr_rate, lr_rates,
-                      multicast_rate, pathloss_gain, rate_table,
-                      reception_rate, sr_rate, sr_rate_matrix)
+from .channel import (RadioConfig, RateTable, Topology, lr_rate, pathloss_gain,
+                      rate_table, reception_rate, sr_rate)
 from .energy import (EnergyReport, PowerConstants, energy_report,
-                     multicast_energy, role_energy, role_power,
-                     total_d2d_energy)
+                     multicast_energy, role_power)
 from .formation import (FormationGraph, PreferenceMatrix, ProposalOrder,
-                        build_preferences, dump_fixture, estimate_graph,
-                        load_fixture, rotate_order)
+                        build_preferences, estimate_graph, rotate_order)
 from .lp import LpProblem, LpSolution, solve
-from .mechanism import (COOPERATE, DEFECT, CevBreakdown, GameState, Payoffs,
-                        Schedule, cev_components, critical_expectation,
-                        deviation_energy, discounted_payoff,
-                        grim_trigger_step, solve_schedule, stage_payoffs)
-from .scenarios import (MonteCarloResult, RunRecord, ScenarioResult,
-                        SessionConfig, generate_topology, monte_carlo,
-                        run_mcrcd, run_multicast, run_optimal,
+from .mechanism import (COOPERATE, DEFECT, CevBreakdown, GameState, Schedule,
+                        cev_components, critical_expectation,
+                        deviation_energy, grim_trigger_step, solve_schedule)
+from .scenarios import (MonteCarloResult, ReplicationError, RunRecord,
+                        ScenarioResult, SessionConfig, generate_topology,
+                        monte_carlo, run_mcrcd, run_multicast, run_optimal,
                         summarize_values)
 
 __all__ = [
     "RadioConfig", "RateTable", "Topology", "pathloss_gain", "lr_rate",
-    "lr_rates", "multicast_rate", "sr_rate", "sr_rate_matrix", "rate_table",
-    "reception_rate",
+    "sr_rate", "rate_table", "reception_rate",
     "PowerConstants", "EnergyReport", "multicast_energy", "role_power",
-    "role_energy", "total_d2d_energy", "energy_report",
+    "energy_report",
     "FormationGraph", "ProposalOrder", "PreferenceMatrix",
-    "build_preferences", "estimate_graph", "rotate_order", "dump_fixture",
-    "load_fixture",
+    "build_preferences", "estimate_graph", "rotate_order",
     "LpProblem", "LpSolution", "solve",
-    "Schedule", "GameState", "Payoffs", "CevBreakdown", "COOPERATE", "DEFECT",
-    "stage_payoffs", "deviation_energy", "solve_schedule", "cev_components",
-    "critical_expectation", "grim_trigger_step", "discounted_payoff",
+    "Schedule", "GameState", "CevBreakdown", "COOPERATE", "DEFECT",
+    "deviation_energy", "solve_schedule", "cev_components",
+    "critical_expectation", "grim_trigger_step",
     "SessionConfig", "ScenarioResult", "RunRecord", "MonteCarloResult",
-    "generate_topology", "run_multicast", "run_optimal", "run_mcrcd",
-    "monte_carlo", "summarize_values",
+    "ReplicationError", "generate_topology", "run_multicast", "run_optimal",
+    "run_mcrcd", "monte_carlo", "summarize_values",
 ]

@@ -171,17 +171,12 @@ def pathloss_gain(distance, ref_db: float, exponent: float):
     return gain
 
 
-def _lr_rate_from_gain(gain: float, radio: RadioConfig) -> float:
-    signal = radio.bs_power_per_subcarrier * gain
+def _link_rate(power_per_subcarrier: float, gain: float, radio: RadioConfig,
+               snr_gap: float = 1.0) -> float:
+    """Gap-adjusted Shannon rate over the whole band; the SR link has no gap."""
+    signal = power_per_subcarrier * gain
     interference = radio.interference_fraction * signal
-    sinr = radio.snr_gap * signal / (radio.noise_power + interference)
-    return radio.subcarrier_count * radio.subcarrier_bandwidth * math.log2(1.0 + sinr)
-
-
-def _sr_rate_from_gain(gain: float, radio: RadioConfig) -> float:
-    signal = radio.sr_power_per_subcarrier * gain
-    interference = radio.interference_fraction * signal
-    sinr = signal / (interference + radio.noise_power)
+    sinr = snr_gap * signal / (radio.noise_power + interference)
     return radio.subcarrier_count * radio.subcarrier_bandwidth * math.log2(1.0 + sinr)
 
 
@@ -189,20 +184,9 @@ def lr_rate(mu: int, topology: Topology) -> float:
     """Cellular downlink rate of one MU with the full band assigned to it."""
     if not 0 <= mu < topology.mu_count:
         raise ValueError(f"mu index {mu} out of range")
-    return _lr_rate_from_gain(float(topology.gain_lr[mu]), topology.radio)
-
-
-def lr_rates(topology: Topology) -> np.ndarray:
-    return np.array([_lr_rate_from_gain(float(g), topology.radio)
-                     for g in topology.gain_lr])
-
-
-def multicast_rate(topology: Topology) -> float:
-    """Rate at which common content reaches every MU directly: the worst
-    cellular rate across the population."""
-    if topology.mu_count < 1:
-        raise ValueError("empty topology")
-    return float(lr_rates(topology).min())
+    radio = topology.radio
+    return _link_rate(radio.bs_power_per_subcarrier,
+                      float(topology.gain_lr[mu]), radio, radio.snr_gap)
 
 
 def sr_rate(tx: int, rx: int, topology: Topology) -> float:
@@ -212,24 +196,24 @@ def sr_rate(tx: int, rx: int, topology: Topology) -> float:
         raise ValueError("MU index out of range")
     if tx == rx:
         raise ValueError("tx and rx must differ")
-    return _sr_rate_from_gain(float(topology.gain_sr[tx, rx]), topology.radio)
-
-
-def sr_rate_matrix(topology: Topology) -> np.ndarray:
-    k = topology.mu_count
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            r = _sr_rate_from_gain(float(topology.gain_sr[i, j]), topology.radio)
-            out[i, j] = r
-            out[j, i] = r
-    return out
+    radio = topology.radio
+    return _link_rate(radio.sr_power_per_subcarrier,
+                      float(topology.gain_sr[tx, rx]), radio)
 
 
 def rate_table(topology: Topology) -> RateTable:
-    lr = lr_rates(topology)
-    return RateTable(lr_rate=lr, multicast_rate=float(lr.min()),
-                     sr_rate=sr_rate_matrix(topology))
+    """Every MU's cellular rate, their minimum, and the SR rate matrix."""
+    radio = topology.radio
+    k = topology.mu_count
+    lr = np.array([_link_rate(radio.bs_power_per_subcarrier, float(g), radio,
+                              radio.snr_gap) for g in topology.gain_lr])
+    sr = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            sr[i, j] = sr[j, i] = _link_rate(radio.sr_power_per_subcarrier,
+                                             float(topology.gain_sr[i, j]),
+                                             radio)
+    return RateTable(lr_rate=lr, multicast_rate=float(lr.min()), sr_rate=sr)
 
 
 def reception_rate(mu: int, graph: "FormationGraph", rates: RateTable) -> float:
@@ -244,17 +228,10 @@ def reception_rate(mu: int, graph: "FormationGraph", rates: RateTable) -> float:
         raise ValueError(f"mu index {mu} out of range")
     if not graph.connected[mu]:
         raise ValueError(f"MU {mu} is not part of the tree")
-    if mu == graph.seed:
-        return float(rates.lr_rate[graph.seed])
-    path = []
+    rec = float(rates.lr_rate[graph.seed])
     node = mu
     while node != graph.seed:
-        parent = graph.parent[node]
-        assert parent is not None
-        path.append(parent)
-        node = parent
-    rec = float(rates.lr_rate[graph.seed])
-    for node in reversed(path):
+        node = graph.parent[node]
         fanout = min(float(rates.sr_rate[node, c]) for c in graph.children[node])
         rec = min(rec, fanout)
     return rec

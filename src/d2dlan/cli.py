@@ -14,8 +14,8 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 
-from .scenarios import (MonteCarloResult, SessionConfig, monte_carlo,
-                        RUN_METRICS)
+from .scenarios import (MonteCarloResult, ReplicationError, SessionConfig,
+                        monte_carlo, RUN_METRICS)
 
 SCENARIO_CHOICES = ("multicast", "optimal", "mcrcd", "all")
 ALL_SCENARIOS = ("multicast", "optimal", "mcrcd")
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run_experiment(spec)
-    except ValueError as exc:
+    except (ValueError, ReplicationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,8 +28,8 @@ class PowerConstants:
     def __post_init__(self) -> None:
         if min(self.p_rx_lr, self.p_rx_sr, self.p_tx_sr) <= 0:
             raise ValueError("power draws must be positive")
-        if self.slot_duration < 0:
-            raise ValueError("slot_duration must be nonnegative")
+        if not self.slot_duration > 0:
+            raise ValueError("slot_duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,36 +83,27 @@ def role_power(mu: int, graph: FormationGraph, constants: PowerConstants) -> flo
     return constants.p_rx_sr
 
 
-def role_energy(mu: int, graph: FormationGraph, rho_seed: float,
-                constants: PowerConstants) -> float:
-    """Energy MU spends during the fraction ``rho_seed`` of the slot in
-    which ``graph`` is active."""
-    if not 0.0 <= rho_seed <= 1.0:
-        raise ValueError("rho_seed must lie in [0, 1]")
-    return role_power(mu, graph, constants) * rho_seed * constants.slot_duration
-
-
-def total_d2d_energy(mu: int, graphs: Sequence[FormationGraph],
-                     rho: Sequence[float], constants: PowerConstants) -> float:
-    """Slot energy of one MU when each MU m seeds its own tree for rho[m]."""
-    if len(graphs) != len(rho):
-        raise ValueError("graphs and rho must have equal length")
-    if abs(sum(rho) - 1.0) > RHO_SUM_TOL:
-        raise ValueError("seed-time fractions must sum to 1")
-    return sum(role_energy(mu, g, r, constants) for g, r in zip(graphs, rho))
+def schedule_watt_matrix(graphs: Sequence[FormationGraph],
+                         constants: PowerConstants) -> np.ndarray:
+    """watt[k, m]: power MU k draws while MU m's tree is active."""
+    k = len(graphs)
+    return np.array([[role_power(mu, graphs[m], constants) for m in range(k)]
+                     for mu in range(k)])
 
 
 def energy_report(graphs: Sequence[FormationGraph], rho: Sequence[float],
                   constants: PowerConstants) -> EnergyReport:
+    """Energy of each MU when each MU m seeds its own tree for the fraction
+    ``rho[m]`` of the slot: role power times the time spent in the role."""
     k = len(graphs)
     if len(rho) != k:
         raise ValueError("graphs and rho must have equal length")
+    if any(not 0.0 <= r <= 1.0 for r in rho):
+        raise ValueError("seed-time fractions must lie in [0, 1]")
     if abs(sum(rho) - 1.0) > RHO_SUM_TOL:
         raise ValueError("seed-time fractions must sum to 1")
-    contrib = np.zeros((k, k))
-    for m, (graph, r) in enumerate(zip(graphs, rho)):
-        for mu in range(k):
-            contrib[mu, m] = role_energy(mu, graph, r, constants)
+    watt = schedule_watt_matrix(graphs, constants)
+    contrib = watt * np.asarray(rho, dtype=float) * constants.slot_duration
     base = np.full(k, multicast_energy(constants))
     return EnergyReport(per_mu_multicast=base,
                         per_mu_d2d=contrib.sum(axis=1),

@@ -1,12 +1,12 @@
-"""Incentive mechanism: seed-time scheduling, payoffs, and the grim-trigger
-repeated game.
+"""Incentive mechanism: seed-time scheduling, cooperation thresholds, and the
+grim-trigger repeated game.
 
 The scheduler splits each slot into per-MU seed times that minimize the
 population's total energy, subject to individual rationality: no MU may spend
-more inside the LAN than it would by downloading everything itself. Payoffs
-are negated energies. Cooperation in the repeated game is governed by a
-per-MU threshold belief (the minimum probability of the session continuing
-that makes relaying worthwhile under permanent-punishment retaliation).
+more inside the LAN than it would by downloading everything itself.
+Cooperation in the repeated game is governed by a per-MU threshold belief
+(the minimum probability of the session continuing that makes relaying
+worthwhile under permanent-punishment retaliation).
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lp
-from .energy import EnergyReport, PowerConstants, multicast_energy, role_power
-from .formation import FormationGraph, ProposalOrder
+from .energy import (EnergyReport, PowerConstants, multicast_energy,
+                     schedule_watt_matrix)
+from .formation import FormationGraph
 
 COOPERATE = "C"
 DEFECT = "D"
@@ -33,7 +34,6 @@ class Schedule:
     individual rationality."""
 
     rho: Optional[tuple[float, ...]]
-    proposal_order: Optional[ProposalOrder]
     feasible: bool
     objective: Optional[float] = None
 
@@ -60,27 +60,6 @@ class GameState:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Payoffs:
-    all_c: tuple[float, ...]
-    all_d: tuple[float, ...]
-    unilateral_defect: tuple[float, ...]
-
-
-def stage_payoffs(report: EnergyReport, schedule: Schedule,
-                  constants: PowerConstants) -> Payoffs:
-    """Stage-game payoffs (negated energies) for the three profiles of
-    interest: everyone defects, everyone cooperates, and one MU free-rides
-    while the rest cooperate."""
-    if not schedule.feasible or schedule.rho is None:
-        raise ValueError("stage payoffs need a feasible schedule")
-    k = len(schedule.rho)
-    all_d = tuple(-float(report.per_mu_multicast[m]) for m in range(k))
-    all_c = tuple(-float(report.per_mu_d2d[m]) for m in range(k))
-    defect = tuple(-deviation_energy(m, schedule, constants) for m in range(k))
-    return Payoffs(all_c=all_c, all_d=all_d, unilateral_defect=defect)
-
-
 def deviation_energy(mu: int, schedule: Schedule,
                      constants: PowerConstants) -> float:
     """Slot energy of an MU that only receives: cellular reception during its
@@ -93,17 +72,8 @@ def deviation_energy(mu: int, schedule: Schedule,
         + constants.p_rx_sr * t
 
 
-def schedule_watt_matrix(graphs: Sequence[FormationGraph],
-                         constants: PowerConstants) -> np.ndarray:
-    """watt[k, m]: power MU k draws while MU m's tree is active."""
-    k = len(graphs)
-    return np.array([[role_power(mu, graphs[m], constants) for m in range(k)]
-                     for mu in range(k)])
-
-
 def solve_schedule(graphs: Sequence[FormationGraph],
-                   constants: PowerConstants,
-                   proposal_order: Optional[ProposalOrder] = None) -> Schedule:
+                   constants: PowerConstants) -> Schedule:
     """Pick seed-time fractions minimizing total energy subject to the
     individual-rationality rows, with a max-min tie-break.
 
@@ -125,7 +95,7 @@ def solve_schedule(graphs: Sequence[FormationGraph],
         a_ub=watt * t, b_ub=np.full(k, baseline),
     ))
     if first.status == "infeasible":
-        return Schedule(rho=None, proposal_order=proposal_order, feasible=False)
+        return Schedule(rho=None, feasible=False)
     if first.status != "optimal":
         raise RuntimeError(f"schedule solve failed: {first.status} {first.message}")
 
@@ -151,8 +121,7 @@ def solve_schedule(graphs: Sequence[FormationGraph],
         raise RuntimeError(f"schedule tie-break failed: {second.status}")
     # simplex output carries O(1e-12) noise; clip to the box
     rho = tuple(float(min(max(v, 0.0), 1.0)) for v in second.x[:k])
-    return Schedule(rho=rho, proposal_order=proposal_order, feasible=True,
-                    objective=float(cost @ second.x[:k]))
+    return Schedule(rho=rho, feasible=True, objective=float(cost @ second.x[:k]))
 
 
 @dataclass(frozen=True)
@@ -165,28 +134,19 @@ class CevBreakdown:
 
 
 def cev_components(mu: int, report: EnergyReport, schedule: Schedule,
-                   constants: PowerConstants,
-                   printed_form: bool = False) -> CevBreakdown:
+                   constants: PowerConstants) -> CevBreakdown:
     """Cooperation threshold with its ingredients.
 
     Derived from indifference between (free-ride once, then download alone
     forever) and (cooperate forever) under geometric session continuation:
-    ``p* = (E_coop - E_dev) / (E_base - E_dev)``. ``printed_form`` selects a
-    variant whose denominator adds rather than subtracts the SR-reception
-    term; it is kept for comparison only and fails the series oracle.
+    ``p* = (E_coop - E_dev) / (E_base - E_dev)``.
     """
     if not schedule.feasible or schedule.rho is None:
         raise ValueError("threshold needs a feasible schedule")
     e_coop = float(report.per_mu_d2d[mu])
     e_base = float(report.per_mu_multicast[mu])
     e_dev = deviation_energy(mu, schedule, constants)
-    t = constants.slot_duration
-    if printed_form:
-        denom = e_base \
-            - (constants.p_rx_lr - constants.p_rx_sr) * schedule.rho[mu] * t \
-            + constants.p_rx_sr * t
-    else:
-        denom = e_base - e_dev
+    denom = e_base - e_dev
     if denom <= DEGENERATE_TOL:
         return CevBreakdown(1.0, e_coop, e_base, e_dev, degenerate=True)
     value = (e_coop - e_dev) / denom
@@ -195,10 +155,9 @@ def cev_components(mu: int, report: EnergyReport, schedule: Schedule,
 
 
 def critical_expectation(mu: int, report: EnergyReport, schedule: Schedule,
-                         constants: PowerConstants,
-                         printed_form: bool = False) -> float:
+                         constants: PowerConstants) -> float:
     """Minimum continuation belief at which cooperating is a best response."""
-    return cev_components(mu, report, schedule, constants, printed_form).value
+    return cev_components(mu, report, schedule, constants).value
 
 
 def grim_trigger_step(state: GameState) -> tuple[tuple[str, ...], GameState]:
@@ -214,11 +173,3 @@ def grim_trigger_step(state: GameState) -> tuple[tuple[str, ...], GameState]:
                         history=state.history + (actions,),
                         triggered=state.triggered or DEFECT in actions)
     return actions, new_state
-
-
-def discounted_payoff(p: float, per_slot_energy: float) -> float:
-    """Total discounted payoff of repeating one slot forever with
-    continuation probability ``p`` (closed form of the geometric series)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("continuation probability must lie in [0, 1)")
-    return -per_slot_energy / (1.0 - p)

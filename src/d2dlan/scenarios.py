@@ -25,11 +25,12 @@ from .channel import (RadioConfig, RateTable, Topology, pathloss_gain,
                       rate_table, reception_rate)
 from .energy import PowerConstants, energy_report, multicast_energy, role_power
 from .formation import (FormationGraph, ProposalOrder, build_preferences,
-                        estimate_graph)
+                        estimate_graph, rotate_order)
 from .mechanism import (COOPERATE, GameState, critical_expectation,
                         grim_trigger_step, solve_schedule)
 
 CI95_Z = 1.959963984540054
+EXHAUSTIVE_LIMIT = 8   # largest K the optimal planner solves by enumeration
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class SessionConfig:
     runs: int = 100
     beliefs: float | tuple[float, ...] = 1.0
     max_hops: int = 4
-    exhaustive_limit: int = 8        # largest K solved by full enumeration
     radio: RadioConfig = field(default_factory=RadioConfig)
     power: PowerConstants = field(default_factory=PowerConstants)
 
@@ -60,17 +60,13 @@ class SessionConfig:
             raise ValueError("max_hops must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        beliefs = self.beliefs
-        if isinstance(beliefs, (int, float)):
-            if not 0.0 <= beliefs <= 1.0:
-                raise ValueError("beliefs must lie in [0, 1]")
-        else:
-            beliefs = tuple(float(b) for b in beliefs)
+        if not isinstance(self.beliefs, (int, float)):
+            beliefs = tuple(float(b) for b in self.beliefs)
             if len(beliefs) != self.mu_count:
                 raise ValueError("per-MU beliefs must have length mu_count")
-            if any(not 0.0 <= b <= 1.0 for b in beliefs):
-                raise ValueError("beliefs must lie in [0, 1]")
             object.__setattr__(self, "beliefs", beliefs)
+        if any(not 0.0 <= b <= 1.0 for b in self.resolved_beliefs()):
+            raise ValueError("beliefs must lie in [0, 1]")
 
     def resolved_beliefs(self) -> tuple[float, ...]:
         if isinstance(self.beliefs, (int, float)):
@@ -121,7 +117,7 @@ def run_multicast(topology: Topology, config: SessionConfig) -> ScenarioResult:
     t = config.power.slot_duration
     energy = multicast_energy(config.power)
     rate = rates.multicast_rate
-    eff = rate * t / energy if energy > 0 else 0.0
+    eff = rate * t / energy
     return ScenarioResult(
         scenario_tag="multicast",
         per_mu_throughput=(rate,) * k,
@@ -209,10 +205,6 @@ def _star_graph(seed: int, k: int) -> FormationGraph:
         seed, [None if x == seed else seed for x in range(k)])
 
 
-def _member_tuples(others: tuple[int, ...], size: int):
-    return itertools.combinations(others, size)
-
-
 def _best_exact_graph(topology: Topology, rates: RateTable,
                       config: SessionConfig) -> Optional[FormationGraph]:
     """Minimum-energy feasible rooted tree over any subset of MUs, or None
@@ -248,7 +240,7 @@ def _best_exact_graph(topology: Topology, rates: RateTable,
             depth_ok = max_depth <= config.max_hops
             base_energy = _tree_energy(relay_count.astype(float), size,
                                        constants) + alone * (k - size)
-            for chosen in _member_tuples(others, size - 1):
+            for chosen in itertools.combinations(others, size - 1):
                 members = np.array((seed,) + chosen)
                 sub = rates.sr_rate[np.ix_(members, members)]
                 edge_rate = sub[parents, np.arange(size)[None, :]]
@@ -310,7 +302,7 @@ def run_optimal(topology: Topology, config: SessionConfig,
     rates = rate_table(topology)
     k = topology.mu_count
     if mode == "auto":
-        mode = "exact" if k <= config.exhaustive_limit else "heuristic"
+        mode = "exact" if k <= EXHAUSTIVE_LIMIT else "heuristic"
     if mode == "exact":
         graph = _best_exact_graph(topology, rates, config)
     else:
@@ -360,17 +352,18 @@ def run_mcrcd(topology: Topology, config: SessionConfig) -> ScenarioResult:
     feasible_slots = 0
     base_rate = rates.multicast_rate
     base_energy = multicast_energy(constants)
-    master = tuple(range(k))
+    master = ProposalOrder(tuple(range(k)))
 
     for _ in range(config.slot_count):
         graphs = [
             estimate_graph(topology, rates, m,
-                           ProposalOrder(tuple(x for x in master if x != m)),
+                           ProposalOrder(tuple(x for x in master.order
+                                               if x != m)),
                            prefs, config.max_hops)
             for m in range(k)
         ]
-        sched = solve_schedule(graphs, constants,
-                               proposal_order=ProposalOrder(master))
+        sched = solve_schedule(graphs, constants)
+        delivered = False
         if sched.feasible:
             feasible_slots += 1
             report = energy_report(graphs, sched.rho, constants)
@@ -379,22 +372,21 @@ def run_mcrcd(topology: Topology, config: SessionConfig) -> ScenarioResult:
             cev_acc += np.array(cev)
             state = replace(state, cev=cev)
             actions, state = grim_trigger_step(state)
-            if all(a == COOPERATE for a in actions):
-                for mu in range(k):
-                    thr_acc[mu] += sum(
-                        sched.rho[m] * (reception_rate(mu, graphs[m], rates)
-                                        if graphs[m].connected[mu]
-                                        else float(rates.lr_rate[mu]))
-                        for m in range(k))
-                energy_acc += report.per_mu_d2d
-            else:
-                # a defection collapses the LAN for this and later slots
-                thr_acc += base_rate
-                energy_acc += base_energy
+            delivered = all(a == COOPERATE for a in actions)
+        if delivered:
+            for mu in range(k):
+                thr_acc[mu] += sum(
+                    sched.rho[m] * (reception_rate(mu, graphs[m], rates)
+                                    if graphs[m].connected[mu]
+                                    else float(rates.lr_rate[mu]))
+                    for m in range(k))
+            energy_acc += report.per_mu_d2d
         else:
+            # no feasible split, or a defection, which collapses the LAN for
+            # this and later slots
             thr_acc += base_rate
             energy_acc += base_energy
-        master = master[1:] + master[:1]
+        master = rotate_order(master)
 
     slots = config.slot_count
     throughput = thr_acc / slots
@@ -447,12 +439,11 @@ class MonteCarloResult:
         return out
 
     def summary(self) -> dict[tuple[str, str], tuple[float, float]]:
-        """(scenario, metric) -> (mean, 95% CI half-width) over runs."""
+        """(scenario, metric) -> (mean, 95% CI half-width) over runs; a
+        metric that no run reports (cev outside mcrcd) is left out."""
         table = {}
         for scenario in self.scenarios:
             for metric in RUN_METRICS:
-                if metric == "cev" and scenario != "mcrcd":
-                    continue
                 values = self.run_scalars(scenario, metric)
                 if values:
                     table[(scenario, metric)] = summarize_values(values)
@@ -482,11 +473,22 @@ def summarize_values(values: Sequence[float]) -> tuple[float, float]:
     return mean, half
 
 
+class ReplicationError(RuntimeError):
+    """One Monte Carlo replication failed; the message names the replication
+    and carries the original error."""
+
+
 def _simulate_run(args) -> RunRecord:
     config, scenarios, run_index = args
-    topology = generate_topology(config, run_index)
-    results = {name: SCENARIO_RUNNERS[name](topology, config)
-               for name in scenarios}
+    try:
+        topology = generate_topology(config, run_index)
+        results = {name: SCENARIO_RUNNERS[name](topology, config)
+                   for name in scenarios}
+    except Exception as exc:
+        raise ReplicationError(
+            f"replication failed at K={config.mu_count} "
+            f"master_seed={config.master_seed} run_index={run_index}: "
+            f"{type(exc).__name__}: {exc}") from exc
     return RunRecord(run_index=run_index, results=results)
 
 

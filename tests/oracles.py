@@ -185,6 +185,14 @@ def cev_bisection(e_coop, e_base, e_dev, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def discounted_payoff(p: float, per_slot_energy: float) -> float:
+    """Total discounted payoff of repeating one slot forever with
+    continuation probability ``p`` (closed form of the geometric series)."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError("continuation probability must lie in [0, 1)")
+    return -per_slot_energy / (1.0 - p)
+
+
 def discounted_partial_sum(p, per_slot_energy, term_tol=1e-12):
     total = 0.0
     weight = 1.0

@@ -104,7 +104,7 @@ def test_criterion_2_scheduling_lp_correctness(power):
                 topo, rates, m,
                 ProposalOrder(tuple(x for x in range(k) if x != m)),
                 prefs, cfg.max_hops) for m in range(k)]
-            from d2dlan.mechanism import schedule_watt_matrix
+            from d2dlan.energy import schedule_watt_matrix
             watt_t = schedule_watt_matrix(graphs, power) * power.slot_duration
             sched = solve_schedule(graphs, power)
             grid = grids[k]
@@ -147,8 +147,7 @@ def test_criterion_3_formation_invariants():
         verify_formation(rates, graph, order, prefs, 4)
         assert estimate_graph(topo, rates, seed, order, prefs, 4) == graph
     # golden fixture
-    from conftest import FIXTURES
-    from d2dlan import load_fixture
+    from conftest import FIXTURES, load_fixture
     topo, seed, order, max_hops, expected = load_fixture(
         (FIXTURES / "golden_formation_k4.txt").read_text())
     rates = rate_table(topo)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import chain, gain_topology, star, symmetric_gain_matrix
 from oracles import lr_rate_subcarrier_sum, sr_rate_subcarrier_sum
 
-from d2dlan import (RadioConfig, RateTable, lr_rate, lr_rates, multicast_rate,
-                    pathloss_gain, rate_table, reception_rate, sr_rate)
+from d2dlan import (RadioConfig, RateTable, lr_rate, pathloss_gain, rate_table,
+                    reception_rate, sr_rate)
 
 
 def test_pathloss_reference_values():
@@ -63,21 +63,21 @@ def test_multicast_rate_is_min(radio):
     topo = gain_topology([5e-11, 2e-11, 8e-11],
                          symmetric_gain_matrix(3, {(0, 1): 1e-10, (0, 2): 1e-10,
                                                    (1, 2): 1e-10}))
-    rates = lr_rates(topo)
-    assert multicast_rate(topo) == rates.min()
-    assert multicast_rate(topo) == lr_rate(1, topo)
+    table = rate_table(topo)
+    assert table.multicast_rate == table.lr_rate.min()
+    assert table.multicast_rate == lr_rate(1, topo)
 
 
 def test_multicast_rate_singleton(radio):
     topo = gain_topology([3e-11], np.zeros((1, 1)))
-    assert multicast_rate(topo) == lr_rate(0, topo)
+    assert rate_table(topo).multicast_rate == lr_rate(0, topo)
 
 
 def test_multicast_rate_equal_gains(radio):
     topo = gain_topology([2e-11] * 3,
                          symmetric_gain_matrix(3, {(0, 1): 1e-10, (0, 2): 1e-10,
                                                    (1, 2): 1e-10}))
-    assert multicast_rate(topo) == lr_rate(0, topo)
+    assert rate_table(topo).multicast_rate == lr_rate(0, topo)
 
 
 def test_sr_rate_zero_gain(radio):
@@ -150,6 +150,10 @@ def test_rate_table_consistency(radio):
     assert np.array_equal(table.sr_rate, table.sr_rate.T)
     for k in range(3):
         assert table.multicast_rate <= table.lr_rate[k]
+        assert table.lr_rate[k] == lr_rate(k, topo)
+        for j in range(3):
+            if j != k:
+                assert table.sr_rate[k, j] == sr_rate(k, j, topo)
 
 
 def test_rate_table_validation_rejects_bad_min():

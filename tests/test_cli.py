@@ -1,5 +1,8 @@
 import pytest
 
+from conftest import FIXTURES
+
+from d2dlan import scenarios
 from d2dlan.cli import (ConfigError, ExperimentSpec, main, parse_config,
                         run_experiment, spec_from_args, build_parser,
                         summary_path)
@@ -138,3 +141,32 @@ def test_main_config_error(capsys, tmp_path):
 def test_main_missing_config_file(capsys):
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_main_reports_failing_replication(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MCRCD_THREADS", raising=False)
+
+    def broken(topology, config):
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(scenarios.SCENARIO_RUNNERS, "multicast", broken)
+    code = main(["--k", "3", "--runs", "2", "--scenario", "multicast",
+                 "--seed", "5", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "K=3 master_seed=5 run_index=0" in err
+    assert "RuntimeError: injected" in err
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_golden_csvs(tmp_path, capsys, k):
+    # K = 6 runs the exact planner, K = 12 the heuristic one; mcrcd saves
+    # energy in some runs of both
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text("runs = 8\nseed = 2\nscenario = all\nbeliefs = 1.0\n")
+    out = tmp_path / f"golden_k{k}.csv"
+    assert main(["--config", str(cfg), "--k", str(k), "--out", str(out)]) == 0
+    for name in (out.name, f"golden_k{k}.summary.csv"):
+        assert (tmp_path / name).read_bytes() == \
+            (FIXTURES / name).read_bytes(), name

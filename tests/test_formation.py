@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, gain_topology, symmetric_gain_matrix
+from conftest import (FIXTURES, dump_fixture, gain_topology, load_fixture,
+                      symmetric_gain_matrix)
 from oracles import verify_formation
 
 from d2dlan import (FormationGraph, ProposalOrder, build_preferences,
-                    dump_fixture, estimate_graph, load_fixture, rate_table,
-                    rotate_order)
+                    estimate_graph, rate_table, rotate_order)
 
 
 def topo_for(gain_lr, pairs):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import chain, star
-from oracles import (cev_bisection, discounted_partial_sum, simplex_grid)
+from oracles import (cev_bisection, discounted_partial_sum, discounted_payoff,
+                     simplex_grid)
 
 from d2dlan import (COOPERATE, DEFECT, GameState, cev_components,
-                    critical_expectation, deviation_energy, discounted_payoff,
-                    energy_report, grim_trigger_step, multicast_energy,
-                    solve_schedule, stage_payoffs)
-from d2dlan.mechanism import schedule_watt_matrix
+                    critical_expectation, deviation_energy, energy_report,
+                    grim_trigger_step, multicast_energy, solve_schedule)
+from d2dlan.energy import schedule_watt_matrix
 
 
 def symmetric_star_schedule(power, k=3):
@@ -80,25 +80,28 @@ def test_schedule_satisfies_irc(power):
 
 
 # --- payoffs ------------------------------------------------------------------
+# Stage payoffs are negated slot energies: everyone cooperates (the report's
+# D2D row), everyone defects (its multicast row), one MU free-rides while
+# the rest cooperate (deviation_energy).
 
 
 def test_stage_payoffs_symmetric_star(power):
     _, sched, report = symmetric_star_schedule(power)
-    payoffs = stage_payoffs(report, sched, power)
-    assert payoffs.all_c == pytest.approx((-(3.225 + 1.85) / 3,) * 3, abs=1e-9)
-    assert payoffs.all_d == pytest.approx((-1.8,) * 3, abs=0)
-    expected_defect = -(1.8 / 3 + (2 / 3) * 0.925)
-    assert payoffs.unilateral_defect == pytest.approx((expected_defect,) * 3,
-                                                      abs=1e-9)
+    assert report.per_mu_d2d == pytest.approx(((3.225 + 1.85) / 3,) * 3,
+                                              abs=1e-9)
+    assert report.per_mu_multicast == pytest.approx((1.8,) * 3, abs=0)
+    expected_defect = 1.8 / 3 + (2 / 3) * 0.925
+    for m in range(3):
+        assert deviation_energy(m, sched, power) == pytest.approx(
+            expected_defect, abs=1e-9)
 
 
 def test_incentive_ordering(power):
     # free-riding beats cooperating beats everyone defecting
     _, sched, report = symmetric_star_schedule(power, k=4)
-    payoffs = stage_payoffs(report, sched, power)
     for k in range(4):
-        assert payoffs.unilateral_defect[k] >= payoffs.all_c[k] - 1e-12
-        assert payoffs.all_c[k] >= payoffs.all_d[k] - 1e-9
+        assert deviation_energy(k, sched, power) <= report.per_mu_d2d[k] + 1e-12
+        assert report.per_mu_d2d[k] <= report.per_mu_multicast[k] + 1e-9
 
 
 # --- cooperation threshold -------------------------------------------------------
@@ -131,12 +134,8 @@ def _report_with(power, graph):
     # replace every graph with one in which MU 1 is a pure sink
     sched = _sched(power)
     graphs = [star(0, 3), star(0, 3), star(0, 3)]
-    import numpy as np
-    from d2dlan import EnergyReport, role_energy
-    contrib = np.zeros((3, 3))
-    for m, g in enumerate(graphs):
-        for mu in range(3):
-            contrib[mu, m] = role_energy(mu, g, sched.rho[m], power)
+    from d2dlan import EnergyReport
+    contrib = energy_report(graphs, sched.rho, power).per_graph_contribution.copy()
     # MU 1 cooperative cost equals its deviation cost by construction
     contrib[1, :] = [deviation_energy(1, sched, power) * r for r in sched.rho]
     return EnergyReport(per_mu_multicast=np.full(3, 1.8),
@@ -158,7 +157,7 @@ def test_cev_one_when_irc_tight(power):
 def test_cev_degenerate_denominator_flag():
     from d2dlan import EnergyReport, PowerConstants, Schedule
     power = PowerConstants()
-    sched = Schedule(rho=(1.0, 0.0, 0.0), proposal_order=None, feasible=True)
+    sched = Schedule(rho=(1.0, 0.0, 0.0), feasible=True)
     contrib = np.full((3, 3), 0.6)
     report = EnergyReport(per_mu_multicast=np.full(3, 1.8),
                           per_mu_d2d=contrib.sum(axis=1),
@@ -170,14 +169,22 @@ def test_cev_degenerate_denominator_flag():
 
 
 def test_cev_printed_variant_differs(power):
+    # the paper prints the threshold's denominator as
+    # E_base - (P_lr - P_sr) rho t + P_sr t; the library uses E_base - E_dev,
+    # which subtracts the SR-reception term instead
     _, sched, report = symmetric_star_schedule(power)
     proof_form = critical_expectation(0, report, sched, power)
-    printed = critical_expectation(0, report, sched, power, printed_form=True)
-    assert printed < proof_form
-    # the printed variant fails the series indifference check
+    t = power.slot_duration
     e_coop = float(report.per_mu_d2d[0])
     a_dev = deviation_energy(0, sched, power)
+    printed = (e_coop - a_dev) / (
+        1.8 - (power.p_rx_lr - power.p_rx_sr) * sched.rho[0] * t
+        + power.p_rx_sr * t)
+    assert 0.0 < printed < proof_form
+    # the printed variant fails the series indifference check
     assert cev_bisection(e_coop, 1.8, a_dev) != pytest.approx(printed, abs=1e-3)
+    assert cev_bisection(e_coop, 1.8, a_dev) == pytest.approx(proof_form,
+                                                              abs=1e-9)
 
 
 def test_cev_threshold_separates_strategies(power):

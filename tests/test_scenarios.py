@@ -4,9 +4,10 @@ import pytest
 from conftest import gain_topology, symmetric_gain_matrix
 from oracles import brute_force_optimal
 
-from d2dlan import (RadioConfig, SessionConfig, generate_topology,
-                    monte_carlo, multicast_energy, rate_table, run_mcrcd,
-                    run_multicast, run_optimal, summarize_values)
+from d2dlan import (RadioConfig, ReplicationError, SessionConfig,
+                    generate_topology, monte_carlo, multicast_energy,
+                    rate_table, run_mcrcd, run_multicast, run_optimal,
+                    scenarios, summarize_values)
 
 
 def config(k=4, runs=2, **kw):
@@ -161,10 +162,11 @@ def test_optimal_heuristic_never_beats_exact():
 
 
 def test_optimal_mode_auto_switches():
-    cfg = config(k=3, exhaustive_limit=2)
-    topo = generate_topology(cfg, 0)
-    assert run_optimal(topo, cfg).optimal_mode == "heuristic"
-    assert run_optimal(topo, config(k=3)).optimal_mode == "exact"
+    # the exact planner's limit is fixed at K = 8
+    for k, mode in ((3, "exact"), (9, "heuristic")):
+        cfg = config(k=k)
+        topo = generate_topology(cfg, 0)
+        assert run_optimal(topo, cfg).optimal_mode == mode
 
 
 # --- proposed protocol ----------------------------------------------------------------
@@ -274,6 +276,27 @@ def test_monte_carlo_parallel_matches_serial(monkeypatch):
     for a, b in zip(serial.records, parallel.records):
         assert a.run_index == b.run_index
         assert a.results["mcrcd"].per_mu_energy == b.results["mcrcd"].per_mu_energy
+
+
+def test_monte_carlo_names_failing_replication(monkeypatch):
+    monkeypatch.delenv("MCRCD_THREADS", raising=False)
+    real = scenarios.SCENARIO_RUNNERS["mcrcd"]
+
+    def flaky(topology, cfg):
+        if len(flaky.calls) == 2:
+            raise ZeroDivisionError("injected")
+        flaky.calls.append(cfg)
+        return real(topology, cfg)
+
+    flaky.calls = []
+    monkeypatch.setitem(scenarios.SCENARIO_RUNNERS, "mcrcd", flaky)
+    with pytest.raises(ReplicationError) as info:
+        monte_carlo(config(k=3, runs=4, slot_count=2, master_seed=17),
+                    scenarios=("mcrcd",))
+    message = str(info.value)
+    assert "K=3 master_seed=17 run_index=2" in message
+    assert "ZeroDivisionError: injected" in message
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_monte_carlo_bad_threads_env(monkeypatch):
