@@ -12,7 +12,7 @@ single bandwidth multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,6 +45,9 @@ class RadioConfig:
     pathloss_exp_sr: float = 2.95
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.bandwidth_total <= 0:
             raise ValueError("bandwidth_total must be positive")
         if self.rb_count <= 0 or self.subcarriers_per_rb <= 0:
@@ -133,27 +136,28 @@ class Topology:
 @dataclass(frozen=True)
 class RateTable:
     """All bit-rate quantities for one topology: per-MU cellular rates, the
-    multicast rate (their minimum), and the SR rate matrix."""
+    SR rate matrix, and the derived multicast rate (the cellular minimum)."""
 
     lr_rate: np.ndarray       # (K,) bits/s
-    multicast_rate: float     # bits/s
     sr_rate: np.ndarray       # (K, K) bits/s, zero diagonal
+    multicast_rate: float = field(init=False)  # bits/s
 
     def __post_init__(self) -> None:
         lr = np.asarray(self.lr_rate, dtype=float)
         sr = np.asarray(self.sr_rate, dtype=float)
         if lr.ndim != 1 or sr.shape != (lr.shape[0], lr.shape[0]):
             raise ValueError("inconsistent rate table shapes")
+        if not (np.all(np.isfinite(lr)) and np.all(np.isfinite(sr))):
+            raise ValueError("rates must be finite")
         if np.any(lr < 0) or np.any(sr < 0):
             raise ValueError("rates must be nonnegative")
-        if self.multicast_rate != lr.min():
-            raise ValueError("multicast_rate must equal min of lr_rate")
         if np.any(np.diag(sr) != 0):
             raise ValueError("sr_rate diagonal must be zero")
         lr.setflags(write=False)
         sr.setflags(write=False)
         object.__setattr__(self, "lr_rate", lr)
         object.__setattr__(self, "sr_rate", sr)
+        object.__setattr__(self, "multicast_rate", float(lr.min()))
 
 
 def pathloss_gain(distance, ref_db: float, exponent: float):
@@ -213,7 +217,7 @@ def rate_table(topology: Topology) -> RateTable:
             sr[i, j] = sr[j, i] = _link_rate(radio.sr_power_per_subcarrier,
                                              float(topology.gain_sr[i, j]),
                                              radio)
-    return RateTable(lr_rate=lr, multicast_rate=float(lr.min()), sr_rate=sr)
+    return RateTable(lr_rate=lr, sr_rate=sr)
 
 
 def reception_rate(mu: int, graph: "FormationGraph", rates: RateTable) -> float:

@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,8 @@ def _parse_float(value: str, key: str, line_no: int,
         parsed = float(value)
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' needs a number, got {value!r}")
+    if not math.isfinite(parsed):
+        raise ConfigError(f"line {line_no}: key '{key}' must be finite, got {value!r}")
     if low is not None and parsed < low:
         raise ConfigError(f"line {line_no}: key '{key}' must be >= {low}")
     if high is not None and parsed > high:

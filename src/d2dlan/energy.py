@@ -8,7 +8,8 @@ the whole slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ class PowerConstants:
     slot_duration: float = 1.0  # s
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if min(self.p_rx_lr, self.p_rx_sr, self.p_tx_sr) <= 0:
             raise ValueError("power draws must be positive")
         if not self.slot_duration > 0:
@@ -34,25 +38,23 @@ class PowerConstants:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-MU energy under the baseline and the scheduled-tree scenario,
-    with the per-tree decomposition (row k, column m: energy MU k spends
-    while MU m's tree is active)."""
+    """Per-MU energy under the baseline and the per-tree decomposition of the
+    scheduled-tree scenario (row k, column m: energy MU k spends while MU m's
+    tree is active); the scheduled per-MU energy is derived as its row sums."""
 
     per_mu_multicast: np.ndarray        # (K,) J
-    per_mu_d2d: np.ndarray              # (K,) J
     per_graph_contribution: np.ndarray  # (K, K) J
+    per_mu_d2d: np.ndarray = field(init=False)  # (K,) J
 
     def __post_init__(self) -> None:
         base = np.asarray(self.per_mu_multicast, dtype=float)
-        d2d = np.asarray(self.per_mu_d2d, dtype=float)
         contrib = np.asarray(self.per_graph_contribution, dtype=float)
         k = base.shape[0]
-        if d2d.shape != (k,) or contrib.shape != (k, k):
+        if contrib.shape != (k, k):
             raise ValueError("inconsistent report shapes")
-        if np.any(base < 0) or np.any(d2d < 0) or np.any(contrib < 0):
+        if np.any(base < 0) or np.any(contrib < 0):
             raise ValueError("energies must be nonnegative")
-        if not np.allclose(contrib.sum(axis=1), d2d, rtol=0, atol=1e-9):
-            raise ValueError("per_mu_d2d must equal row sums of the decomposition")
+        d2d = contrib.sum(axis=1)
         for name, arr in (("per_mu_multicast", base), ("per_mu_d2d", d2d),
                           ("per_graph_contribution", contrib)):
             arr.setflags(write=False)
@@ -105,6 +107,4 @@ def energy_report(graphs: Sequence[FormationGraph], rho: Sequence[float],
     watt = schedule_watt_matrix(graphs, constants)
     contrib = watt * np.asarray(rho, dtype=float) * constants.slot_duration
     base = np.full(k, multicast_energy(constants))
-    return EnergyReport(per_mu_multicast=base,
-                        per_mu_d2d=contrib.sum(axis=1),
-                        per_graph_contribution=contrib)
+    return EnergyReport(per_mu_multicast=base, per_graph_contribution=contrib)

@@ -11,92 +11,63 @@ downloads on its own cellular link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .channel import RateTable, Topology
 
 
 @dataclass(frozen=True)
 class FormationGraph:
-    """Rooted tree over MU indices; MUs rejected by everyone are tracked as
-    unconnected (no parent, no children, depth 0)."""
+    """Rooted tree over MU indices, given by each MU's parent: None marks the
+    seed and the MUs rejected by everyone. Children (ascending), depths and
+    membership are derived; an unconnected MU has no children and depth 0."""
 
     seed: int
     parent: tuple[Optional[int], ...]
-    children: tuple[tuple[int, ...], ...]
-    depth: tuple[int, ...]
-    connected: tuple[bool, ...]
+    children: tuple[tuple[int, ...], ...] = field(init=False)
+    depth: tuple[int, ...] = field(init=False)
+    connected: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        k = len(self.parent)
-        if not (len(self.children) == len(self.depth) == len(self.connected) == k):
-            raise ValueError("inconsistent field lengths")
+        parent = tuple(self.parent)
+        k = len(parent)
         if not 0 <= self.seed < k:
             raise ValueError("seed index out of range")
-        if self.parent[self.seed] is not None or not self.connected[self.seed]:
-            raise ValueError("seed must be connected and parentless")
-        if self.depth[self.seed] != 0:
-            raise ValueError("seed depth must be 0")
-        child_of = {}
-        for node, kids in enumerate(self.children):
-            for c in kids:
-                if c in child_of:
-                    raise ValueError(f"MU {c} appears under two parents")
-                child_of[c] = node
-        for node in range(k):
-            if node == self.seed:
+        if parent[self.seed] is not None:
+            raise ValueError("seed must be parentless")
+        children: list[list[int]] = [[] for _ in range(k)]
+        depth = [0] * k
+        connected = [False] * k
+        connected[self.seed] = True
+        for node, p in enumerate(parent):
+            if p is not None:
+                if not 0 <= p < k:
+                    raise ValueError(f"MU {node} has parent {p} outside [0, {k})")
+                children[p].append(node)
+        for node, p in enumerate(parent):
+            if p is None:
                 continue
-            if self.connected[node]:
-                p = self.parent[node]
-                if p is None or not self.connected[p]:
-                    raise ValueError(f"connected MU {node} needs a connected parent")
-                if self.depth[node] != self.depth[p] + 1:
-                    raise ValueError(f"depth of MU {node} inconsistent with parent")
-                if child_of.get(node) != p:
-                    raise ValueError("parent and children lists disagree")
-            else:
-                if self.parent[node] is not None or self.children[node]:
-                    raise ValueError(f"unconnected MU {node} must be isolated")
-                if node in child_of:
-                    raise ValueError(f"unconnected MU {node} listed as a child")
+            # depth via walk to the seed; detects cycles and dangling parents
+            hops = 1
+            while p != self.seed:
+                p = parent[p]
+                if p is None:
+                    raise ValueError(f"MU {node} does not reach the seed")
+                hops += 1
+                if hops > k:
+                    raise ValueError("parent list contains a cycle")
+            connected[node] = True
+            depth[node] = hops
+        for name, value in (("parent", parent),
+                            ("children", tuple(tuple(c) for c in children)),
+                            ("depth", tuple(depth)),
+                            ("connected", tuple(connected))):
+            object.__setattr__(self, name, value)
 
     @property
     def mu_count(self) -> int:
         return len(self.parent)
-
-    @classmethod
-    def from_parents(cls, seed: int, parents: Sequence[Optional[int]]) -> "FormationGraph":
-        """Build a graph from a parent list; None marks the seed and any
-        unconnected MUs."""
-        k = len(parents)
-        children: list[list[int]] = [[] for _ in range(k)]
-        depth = [0] * k
-        connected = [False] * k
-        connected[seed] = True
-        for node, p in enumerate(parents):
-            if p is not None:
-                children[p].append(node)
-        # depths via walk to the seed; detects cycles and dangling parents
-        for node in range(k):
-            if node == seed or parents[node] is None:
-                continue
-            chain = []
-            cur: Optional[int] = node
-            while cur is not None and cur != seed:
-                chain.append(cur)
-                if len(chain) > k:
-                    raise ValueError("parent list contains a cycle")
-                cur = parents[cur]
-            if cur != seed:
-                raise ValueError(f"MU {node} does not reach the seed")
-            connected[node] = True
-            depth[node] = len(chain)
-        return cls(seed=seed,
-                   parent=tuple(parents),
-                   children=tuple(tuple(sorted(c)) for c in children),
-                   depth=tuple(depth),
-                   connected=tuple(connected))
 
 
 @dataclass(frozen=True)
@@ -159,7 +130,6 @@ def estimate_graph(topology: Topology, rates: RateTable, seed: int,
         raise ValueError("order must be a permutation of the non-seed MUs")
 
     parent: list[Optional[int]] = [None] * k
-    children: list[list[int]] = [[] for _ in range(k)]
     depth = [0] * k
     connected = [False] * k
     connected[seed] = True
@@ -175,14 +145,9 @@ def estimate_graph(topology: Topology, rates: RateTable, seed: int,
             link = float(rates.sr_rate[candidate, proposer])
             if link >= feed_rate[candidate]:
                 parent[proposer] = candidate
-                children[candidate].append(proposer)
                 depth[proposer] = depth[candidate] + 1
                 connected[proposer] = True
                 feed_rate[proposer] = link
                 break
 
-    return FormationGraph(seed=seed,
-                          parent=tuple(parent),
-                          children=tuple(tuple(c) for c in children),
-                          depth=tuple(depth),
-                          connected=tuple(connected))
+    return FormationGraph(seed, tuple(parent))

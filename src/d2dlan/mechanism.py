@@ -11,7 +11,7 @@ worthwhile under permanent-punishment retaliation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,17 +30,16 @@ DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Schedule:
-    """Seed-time fractions for one slot; infeasible means no split satisfies
-    individual rationality."""
+    """Seed-time fractions for one slot; no seed times (infeasible) means no
+    split satisfies individual rationality."""
 
     rho: Optional[tuple[float, ...]]
-    feasible: bool
     objective: Optional[float] = None
+    feasible: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "feasible", self.rho is not None)
         if self.feasible:
-            if self.rho is None:
-                raise ValueError("feasible schedule needs seed times")
             if any(r < 0.0 for r in self.rho):
                 raise ValueError("seed times must be nonnegative")
             if abs(sum(self.rho) - 1.0) > 1e-9:
@@ -95,7 +94,7 @@ def solve_schedule(graphs: Sequence[FormationGraph],
         a_ub=watt * t, b_ub=np.full(k, baseline),
     ))
     if first.status == "infeasible":
-        return Schedule(rho=None, feasible=False)
+        return Schedule(rho=None)
     if first.status != "optimal":
         raise RuntimeError(f"schedule solve failed: {first.status} {first.message}")
 
@@ -121,7 +120,7 @@ def solve_schedule(graphs: Sequence[FormationGraph],
         raise RuntimeError(f"schedule tie-break failed: {second.status}")
     # simplex output carries O(1e-12) noise; clip to the box
     rho = tuple(float(min(max(v, 0.0), 1.0)) for v in second.x[:k])
-    return Schedule(rho=rho, feasible=True, objective=float(cost @ second.x[:k]))
+    return Schedule(rho=rho, objective=float(cost @ second.x[:k]))
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def cev_components(mu: int, report: EnergyReport, schedule: Schedule,
     forever) and (cooperate forever) under geometric session continuation:
     ``p* = (E_coop - E_dev) / (E_base - E_dev)``.
     """
-    if not schedule.feasible or schedule.rho is None:
+    if not schedule.feasible:
         raise ValueError("threshold needs a feasible schedule")
     e_coop = float(report.per_mu_d2d[mu])
     e_base = float(report.per_mu_multicast[mu])

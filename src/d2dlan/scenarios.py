@@ -14,6 +14,7 @@ Monte Carlo comparison.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -54,8 +55,8 @@ class SessionConfig:
             raise ValueError("slot_count must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.area_side <= 0:
-            raise ValueError("area_side must be positive")
+        if not (math.isfinite(self.area_side) and self.area_side > 0):
+            raise ValueError("area_side must be positive and finite")
         if self.max_hops < 1:
             raise ValueError("max_hops must be at least 1")
         if self.master_seed < 0:
@@ -201,8 +202,8 @@ def _tree_energy(relays: np.ndarray, k: int, constants: PowerConstants):
 
 
 def _star_graph(seed: int, k: int) -> FormationGraph:
-    return FormationGraph.from_parents(
-        seed, [None if x == seed else seed for x in range(k)])
+    return FormationGraph(seed, tuple(None if x == seed else seed
+                                      for x in range(k)))
 
 
 def _best_exact_graph(topology: Topology, rates: RateTable,
@@ -265,7 +266,7 @@ def _best_exact_graph(topology: Topology, rates: RateTable,
     parent_list: list[Optional[int]] = [None] * k
     for x in range(1, len(members)):
         parent_list[int(members[x])] = int(members[canon[x]])
-    return FormationGraph.from_parents(seed, parent_list)
+    return FormationGraph(seed, tuple(parent_list))
 
 
 def _graph_total_energy(graph: FormationGraph, constants: PowerConstants) -> float:

@@ -47,8 +47,8 @@ def symmetric_gain_matrix(k, pairs):
 
 
 def star(seed, k):
-    return FormationGraph.from_parents(
-        seed, [None if x == seed else seed for x in range(k)])
+    return FormationGraph(seed, tuple(None if x == seed else seed
+                                      for x in range(k)))
 
 
 def chain(nodes, k):
@@ -56,7 +56,7 @@ def chain(nodes, k):
     parents = [None] * k
     for prev, node in zip(nodes, nodes[1:]):
         parents[node] = prev
-    return FormationGraph.from_parents(nodes[0], parents)
+    return FormationGraph(nodes[0], tuple(parents))
 
 
 def dump_fixture(topology, seed, order, max_hops, graph):

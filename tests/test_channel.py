@@ -157,14 +157,22 @@ def test_rate_table_consistency(radio):
 
 
 def test_rate_table_validation_rejects_bad_min():
-    with pytest.raises(ValueError):
-        RateTable(lr_rate=np.array([1.0, 2.0]), multicast_rate=2.0,
-                  sr_rate=np.zeros((2, 2)))
+    # the multicast rate is derived from the cellular rates, never passed in
+    lr = np.array([2.0, 1.0, 3.0])
+    table = RateTable(lr_rate=lr, sr_rate=np.zeros((3, 3)))
+    assert table.multicast_rate == lr.min()
+    with pytest.raises(TypeError):
+        RateTable(lr_rate=lr, multicast_rate=2.0, sr_rate=np.zeros((3, 3)))
+    # a NaN rate would leave the minimum undefined
+    with pytest.raises(ValueError, match="finite"):
+        RateTable(lr_rate=np.array([1.0, np.nan]), sr_rate=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        RateTable(lr_rate=np.ones(2), sr_rate=np.array([[0.0, np.inf],
+                                                         [np.inf, 0.0]]))
 
 
 def _hand_table(lr, sr):
     return RateTable(lr_rate=np.asarray(lr, float),
-                     multicast_rate=float(np.min(lr)),
                      sr_rate=np.asarray(sr, float))
 
 
@@ -222,3 +230,13 @@ def test_radio_config_validation():
     assert cfg.snr_gap > 0
     assert cfg.subcarrier_bandwidth > 0
     assert cfg.snr_gap == pytest.approx(1.5 / (-math.log(5e-3)), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", [
+    "bandwidth_total", "bs_power_total", "sr_power_max", "noise_power",
+    "target_error_prob", "interference_fraction", "pathloss_ref_db",
+    "pathloss_exp_lr", "pathloss_exp_sr"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_radio_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RadioConfig(**{name: value})

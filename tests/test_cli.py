@@ -37,6 +37,13 @@ def test_parse_config_range_error():
         parse_config("beliefs = 1.4")
 
 
+@pytest.mark.parametrize("key", ["area_side", "beliefs"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_config_rejects_non_finite(key, value):
+    with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+        parse_config(f"{key} = {value}")
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'mu_cnt'"):
         parse_config("mu_cnt = 4")

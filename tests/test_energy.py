@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,14 @@ def test_multicast_energy_scales_with_slot():
     # figure would be 0/0, so it is refused up front
     with pytest.raises(ValueError, match="slot_duration must be positive"):
         PowerConstants(slot_duration=0.0)
+
+
+@pytest.mark.parametrize("name", ["p_rx_lr", "p_rx_sr", "p_tx_sr",
+                                  "slot_duration"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_power_constants_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PowerConstants(**{name: value})
 
 
 def test_role_energy_seed_with_children(power):
@@ -139,8 +149,8 @@ def test_energy_report_identity(power):
     graphs = [star(0, 3), chain([1, 0, 2], 3), star(2, 3)]
     rho = [0.2, 0.5, 0.3]
     report = energy_report(graphs, rho, power)
-    assert np.allclose(report.per_graph_contribution.sum(axis=1),
-                       report.per_mu_d2d, atol=1e-12)
+    assert np.all(report.per_mu_d2d
+                  == report.per_graph_contribution.sum(axis=1))
     assert np.all(report.per_mu_multicast == multicast_energy(power))
     for mu in range(3):
         assert report.per_mu_d2d[mu] == pytest.approx(

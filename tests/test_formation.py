@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (FIXTURES, dump_fixture, gain_topology, load_fixture,
                       symmetric_gain_matrix)
@@ -192,11 +194,109 @@ def test_full_connection_when_sr_dominates():
 
 
 def test_from_parents_detects_cycle():
-    with pytest.raises(ValueError):
-        FormationGraph.from_parents(0, [None, 2, 1])
+    with pytest.raises(ValueError, match="cycle"):
+        FormationGraph(0, (None, 2, 1))
 
 
 def test_formation_graph_validation():
-    with pytest.raises(ValueError):
-        FormationGraph(seed=0, parent=(None, None), children=((1,), ()),
-                       depth=(0, 1), connected=(True, True))
+    # the parent list is the whole input: children, depths and membership
+    # are derived from it, so only the seed and the parents can be wrong
+    graph = FormationGraph(seed=0, parent=(None, None))
+    assert graph.children == ((), ())
+    assert graph.depth == (0, 0)
+    assert graph.connected == (True, False)
+    with pytest.raises(ValueError, match="seed index"):
+        FormationGraph(seed=2, parent=(None, None))
+    with pytest.raises(ValueError, match="parentless"):
+        FormationGraph(seed=0, parent=(1, 0))
+    with pytest.raises(ValueError, match="MU 1 does not reach the seed"):
+        FormationGraph(seed=0, parent=(None, 2, None))
+
+
+@pytest.mark.parametrize("parent, mu", [((None, -1, 0), 1),
+                                        ((None, 5, 0), 1),
+                                        ((None, 0, 3), 2)])
+def test_formation_graph_rejects_parent_out_of_range(parent, mu):
+    with pytest.raises(ValueError, match=f"MU {mu} has parent"):
+        FormationGraph(0, parent)
+
+
+def _naive_derived(seed, parent):
+    """Children, depths and membership recomputed from scratch."""
+    k = len(parent)
+
+    def depth_of(x):
+        return 0 if x == seed else 1 + depth_of(parent[x])
+
+    def reaches(x):
+        return x == seed or (parent[x] is not None and reaches(parent[x]))
+
+    connected = tuple(reaches(x) for x in range(k))
+    children = tuple(tuple(c for c in range(k) if parent[c] == x)
+                     for x in range(k))
+    depth = tuple(depth_of(x) if connected[x] else 0 for x in range(k))
+    return children, depth, connected
+
+
+@st.composite
+def parent_lists(draw):
+    """A tree hung under the seed plus unconnected MUs: each member joins
+    under a member attached before it."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=k - 1))
+    others = draw(st.permutations([x for x in range(k) if x != seed]))
+    size = draw(st.integers(min_value=0, max_value=k - 1))
+    parent = [None] * k
+    attached = [seed]
+    for node in others[:size]:
+        parent[node] = draw(st.sampled_from(attached))
+        attached.append(node)
+    return seed, parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(parent_lists())
+def test_derived_fields_match_naive_recomputation(case):
+    seed, parent = case
+    graph = FormationGraph(seed, tuple(parent))
+    assert (graph.children, graph.depth, graph.connected) == \
+        _naive_derived(seed, parent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parent_lists(), st.data())
+def test_cycles_raise(case, data):
+    seed, parent = case
+    members = [x for x in range(len(parent)) if parent[x] is not None]
+    if not members:
+        return
+    # re-hang a member under itself or one of its descendants
+    node = data.draw(st.sampled_from(members))
+    below = [x for x in members if _chain_contains(parent, x, node)]
+    parent[node] = data.draw(st.sampled_from(below))
+    with pytest.raises(ValueError, match="cycle"):
+        FormationGraph(seed, tuple(parent))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parent_lists(), st.data())
+def test_parents_outside_the_tree_raise(case, data):
+    seed, parent = case
+    loose = [x for x in range(len(parent))
+             if x != seed and parent[x] is None]
+    if len(loose) < 2:
+        return
+    node, under = data.draw(st.permutations(loose))[:2]
+    parent[node] = under
+    with pytest.raises(ValueError, match=f"MU {node} does not reach the seed"):
+        FormationGraph(seed, tuple(parent))
+
+
+def _chain_contains(parent, start, target):
+    """Whether ``target`` lies on the path from ``start`` up to the seed."""
+    node = start
+    while node is not None:
+        if node == target:
+            return True
+        node = parent[node]
+    return False

@@ -139,7 +139,6 @@ def _report_with(power, graph):
     # MU 1 cooperative cost equals its deviation cost by construction
     contrib[1, :] = [deviation_energy(1, sched, power) * r for r in sched.rho]
     return EnergyReport(per_mu_multicast=np.full(3, 1.8),
-                        per_mu_d2d=contrib.sum(axis=1),
                         per_graph_contribution=contrib)
 
 
@@ -149,18 +148,26 @@ def test_cev_one_when_irc_tight(power):
     sched = _sched(power)
     contrib = np.full((3, 3), 0.6)
     report = EnergyReport(per_mu_multicast=np.full(3, 1.8),
-                          per_mu_d2d=contrib.sum(axis=1),
                           per_graph_contribution=contrib)
     assert critical_expectation(0, report, sched, power) == pytest.approx(1.0)
+
+
+def test_schedule_feasibility_is_derived_from_seed_times():
+    from d2dlan import Schedule
+    assert not Schedule(rho=None).feasible
+    assert Schedule(rho=(0.25, 0.75), objective=2.0).feasible
+    with pytest.raises(TypeError):
+        Schedule(rho=None, feasible=True)
+    with pytest.raises(ValueError, match="sum to 1"):
+        Schedule(rho=(0.5, 0.4))
 
 
 def test_cev_degenerate_denominator_flag():
     from d2dlan import EnergyReport, PowerConstants, Schedule
     power = PowerConstants()
-    sched = Schedule(rho=(1.0, 0.0, 0.0), feasible=True)
+    sched = Schedule(rho=(1.0, 0.0, 0.0))
     contrib = np.full((3, 3), 0.6)
     report = EnergyReport(per_mu_multicast=np.full(3, 1.8),
-                          per_mu_d2d=contrib.sum(axis=1),
                           per_graph_contribution=contrib)
     comp = cev_components(0, report, sched, power)
     # rho=1 makes the deviation slot equal the baseline slot

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -317,3 +319,9 @@ def test_session_config_validation():
     cfg = SessionConfig(mu_count=3, beliefs=(0.9, 0.8, 0.7))
     assert cfg.resolved_beliefs() == (0.9, 0.8, 0.7)
     assert SessionConfig(mu_count=2).resolved_beliefs() == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_session_config_rejects_non_finite_area(value):
+    with pytest.raises(ValueError, match="area_side must be positive and finite"):
+        SessionConfig(mu_count=3, area_side=value)
