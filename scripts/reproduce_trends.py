@@ -15,8 +15,10 @@ Usage:
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
-from d2dlan.cli import ExperimentSpec, run_experiment, summary_path
+from d2dlan import ReplicationError
+from d2dlan.cli import build_parser, run_experiment, spec_from_args, summary_path
 
 
 def main(argv=None):
@@ -29,10 +31,17 @@ def main(argv=None):
     parser.add_argument("--out", default="trends.csv")
     args = parser.parse_args(argv)
 
-    spec = ExperimentSpec(k_values=tuple(range(args.kmin, args.kmax + 1)),
-                          runs=args.runs, slots=args.slots, seed=args.seed,
-                          out=args.out, beliefs=1.0)
-    status = run_experiment(spec)
+    # the d2dlan command line checks the values and reports errors alike
+    cli_args = build_parser().parse_args([
+        "--sweep-k", f"{args.kmin}:{args.kmax}", "--runs", str(args.runs),
+        "--slots", str(args.slots), "--seed", str(args.seed),
+        "--scenario", "all", "--out", args.out])
+    try:
+        spec = replace(spec_from_args(cli_args), beliefs=1.0)
+        status = run_experiment(spec)
+    except (ValueError, ReplicationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if status != 0:
         return status
     with open(summary_path(spec.out), newline="", encoding="utf-8") as fh:

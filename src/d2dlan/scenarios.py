@@ -5,8 +5,9 @@ Monte Carlo comparison.
   worst rate.
 * optimal: a central planner picks one seed for the whole slot and the
   minimum-energy feasible tree over any subset of MUs (the rest download
-  alone), by exhaustive rooted-tree enumeration up to a size limit and by
-  the formation heuristic beyond it; multicast when no tree saves energy.
+  alone), by an exact search over (tree size, relay count) energy classes up
+  to a size limit and by the formation heuristic beyond it; multicast when
+  no tree saves energy.
 * mcrcd: every MU seeds its own tree for an individually-rational fraction
   of the slot, with grim-trigger enforcement of relaying.
 """
@@ -31,7 +32,7 @@ from .mechanism import (COOPERATE, GameState, critical_expectation,
                         grim_trigger_step, solve_schedule)
 
 CI95_Z = 1.959963984540054
-EXHAUSTIVE_LIMIT = 8   # largest K the optimal planner solves by enumeration
+EXHAUSTIVE_LIMIT = 8   # largest K the optimal planner solves exactly
 
 
 @dataclass(frozen=True)
@@ -131,30 +132,31 @@ def run_multicast(topology: Topology, config: SessionConfig) -> ScenarioResult:
 # --- optimal scenario -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _rooted_tree_table(k: int):
-    """All labeled trees on k nodes rooted at node 0.
+def _class_table(size: int, relays: tuple[int, ...]):
+    """Labeled trees on ``size`` nodes rooted at node 0 with a relay count in
+    ``relays``, in Prüfer-sequence order.
 
-    Returns (parents, max_depth, relay_count): parents[n, x] is the parent of
-    node x in tree n (node 0 maps to itself), max_depth[n] the tree height,
-    relay_count[n] the number of non-root internal nodes.
+    A tree's relays (non-root internal nodes) are exactly the distinct
+    nonzero symbols of its Prüfer sequence, so the sequences are those over
+    {0} ∪ R that use every element of R, for each relay set R. Returns
+    (parents, max_depth): parents[n, x] is the parent of node x in tree n
+    (node 0 maps to itself), max_depth[n] the tree height.
     """
-    if k == 1:
-        return (np.zeros((1, 1), dtype=np.int16), np.zeros(1, dtype=np.int16),
-                np.zeros(1, dtype=np.int16))
-    n_trees = k ** (k - 2)
-    parents = np.zeros((n_trees, k), dtype=np.int16)
-    max_depth = np.zeros(n_trees, dtype=np.int16)
-    relay_count = np.zeros(n_trees, dtype=np.int16)
-    for n, seq in enumerate(itertools.product(range(k), repeat=k - 2)):
-        edges = _prufer_decode(seq, k)
-        adj: list[list[int]] = [[] for _ in range(k)]
-        for a, b in edges:
+    seqs = sorted(seq for r in relays
+                  for chosen in itertools.combinations(range(1, size), r)
+                  for seq in itertools.product((0,) + chosen, repeat=size - 2)
+                  if len(set(seq) - {0}) == r)
+    parents = np.zeros((len(seqs), size), dtype=np.int16)
+    max_depth = np.zeros(len(seqs), dtype=np.int16)
+    for n, seq in enumerate(seqs):
+        adj: list[list[int]] = [[] for _ in range(size)]
+        for a, b in _prufer_decode(seq, size):
             adj[a].append(b)
             adj[b].append(a)
-        parent = [0] * k
-        depth = [0] * k
+        parent = [0] * size
+        depth = [0] * size
         stack = [0]
-        seen = [False] * k
+        seen = [False] * size
         seen[0] = True
         while stack:
             node = stack.pop()
@@ -166,8 +168,7 @@ def _rooted_tree_table(k: int):
                     stack.append(nxt)
         parents[n] = parent
         max_depth[n] = max(depth)
-        relay_count[n] = len({parent[x] for x in range(1, k)} - {0})
-    return parents, max_depth, relay_count
+    return parents, max_depth
 
 
 def _prufer_decode(seq: tuple[int, ...], k: int) -> list[tuple[int, int]]:
@@ -193,9 +194,9 @@ def _prufer_decode(seq: tuple[int, ...], k: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _tree_energy(relays: np.ndarray, k: int, constants: PowerConstants):
+def _tree_energy(relays: int, k: int, constants: PowerConstants) -> float:
     t = constants.slot_duration
-    seed_power = constants.p_rx_lr + (constants.p_tx_sr if k > 1 else 0.0)
+    seed_power = constants.p_rx_lr + constants.p_tx_sr
     relay_power = constants.p_rx_sr + constants.p_tx_sr
     return t * (seed_power + relays * relay_power
                 + (k - 1 - relays) * constants.p_rx_sr)
@@ -214,59 +215,61 @@ def _best_exact_graph(topology: Topology, rates: RateTable,
     MUs outside the tree download on their own cellular link. Feasibility:
     depth bounded, every seed-to-child link carries the seed's cellular rate,
     every relay-to-child link carries at least the relay's own incoming link.
+    A tree's energy depends only on its (size, relay count) class, so the
+    classes are searched cheapest first and the first feasible tree wins.
     Ties in energy prefer the seed with the highest cellular rate, then the
-    lowest seed index, then enumeration order.
+    lowest seed index, the smallest tree, the first member subset in
+    combination order and the first tree in Prüfer order.
     """
     k = topology.mu_count
     constants = config.power
-    t = constants.slot_duration
-    alone = constants.p_rx_lr * t
+    alone = constants.p_rx_lr * constants.slot_duration
+    bound = alone * k - 1e-12
+    # float-equal classes tie and are searched as one group
+    groups: dict[float, dict[int, tuple[int, ...]]] = {}
+    for size in range(2, k + 1):
+        for relays in range(size - 1):
+            energy = _tree_energy(relays, size, constants) + alone * (k - size)
+            by_size = groups.setdefault(energy, {})
+            by_size[size] = by_size.get(size, ()) + (relays,)
+    energies = sorted(groups)
+    seeds = sorted(range(k), key=lambda m: (-float(rates.lr_rate[m]), m))
 
-    star_seeds = [m for m in range(k)
-                  if all(rates.sr_rate[m, x] >= rates.lr_rate[m]
-                         for x in range(k) if x != m)]
-    if star_seeds and k >= 3:
-        # for three MUs or more the full star is the cheapest configuration
-        # of all: relay-free, and a sink costs less than downloading alone
-        best = max(star_seeds, key=lambda m: (rates.lr_rate[m], -m))
-        return _star_graph(best, k)
+    if groups[energies[0]] == {k: (0,)} and energies[0] < bound:
+        # fast path: the full star is the cheapest tree of all
+        for seed in seeds:
+            if all(rates.sr_rate[seed, x] >= rates.lr_rate[seed]
+                   for x in range(k) if x != seed):
+                return _star_graph(seed, k)
 
-    best_key = None
-    best_spec = None
-    for seed in range(k):
-        r_seed = float(rates.lr_rate[seed])
-        others = tuple(x for x in range(k) if x != seed)
-        for size in range(2, k + 1):
-            parents, max_depth, relay_count = _rooted_tree_table(size)
-            depth_ok = max_depth <= config.max_hops
-            base_energy = _tree_energy(relay_count.astype(float), size,
-                                       constants) + alone * (k - size)
-            for chosen in itertools.combinations(others, size - 1):
-                members = np.array((seed,) + chosen)
-                sub = rates.sr_rate[np.ix_(members, members)]
-                edge_rate = sub[parents, np.arange(size)[None, :]]
-                thr = np.where(parents == 0, r_seed,
-                               np.take_along_axis(edge_rate,
-                                                  parents.astype(np.intp),
-                                                  axis=1))
-                ok = edge_rate >= thr
-                ok[:, 0] = True
-                feasible = ok.all(axis=1) & depth_ok
-                idx = np.nonzero(feasible)[0]
-                if idx.size == 0:
-                    continue
-                local = idx[int(np.argmin(base_energy[idx]))]
-                key = (float(base_energy[local]), -r_seed, seed)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_spec = (seed, members, parents[local])
-    if best_spec is None or best_key[0] >= alone * k - 1e-12:
-        return None
-    seed, members, canon = best_spec
-    parent_list: list[Optional[int]] = [None] * k
-    for x in range(1, len(members)):
-        parent_list[int(members[x])] = int(members[canon[x]])
-    return FormationGraph(seed, tuple(parent_list))
+    for energy in energies:
+        if energy >= bound:
+            return None
+        for seed in seeds:
+            r_seed = float(rates.lr_rate[seed])
+            others = tuple(x for x in range(k) if x != seed)
+            for size, relays in sorted(groups[energy].items()):
+                parents, max_depth = _class_table(size, relays)
+                depth_ok = max_depth <= config.max_hops
+                for chosen in itertools.combinations(others, size - 1):
+                    members = np.array((seed,) + chosen)
+                    sub = rates.sr_rate[np.ix_(members, members)]
+                    edge_rate = sub[parents, np.arange(size)[None, :]]
+                    thr = np.where(parents == 0, r_seed,
+                                   np.take_along_axis(edge_rate,
+                                                      parents.astype(np.intp),
+                                                      axis=1))
+                    ok = edge_rate >= thr
+                    ok[:, 0] = True
+                    idx = np.flatnonzero(ok.all(axis=1) & depth_ok)
+                    if idx.size == 0:
+                        continue
+                    canon = parents[idx[0]]
+                    parent_list: list[Optional[int]] = [None] * k
+                    for x in range(1, size):
+                        parent_list[int(members[x])] = int(members[canon[x]])
+                    return FormationGraph(seed, tuple(parent_list))
+    return None
 
 
 def _graph_total_energy(graph: FormationGraph, constants: PowerConstants) -> float:

@@ -9,6 +9,7 @@ parent-vector enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -325,3 +326,88 @@ def brute_force_optimal(rates_lr, rates_sr, max_hops, constants, k):
                         best = energy
                         best_desc = f"seed={seed} members={members} parents={parents}"
     return best, best_desc
+
+
+@functools.lru_cache(maxsize=None)
+def rooted_tree_table(k):
+    """All k^(k-2) labeled trees on k >= 2 nodes rooted at node 0, in Prüfer
+    order: (parents, max_depth, relay_count) with parents[n, x] the parent
+    of node x in tree n (node 0 maps to itself)."""
+    from d2dlan.scenarios import _prufer_decode
+
+    n_trees = k ** (k - 2)
+    parents = np.zeros((n_trees, k), dtype=np.int16)
+    max_depth = np.zeros(n_trees, dtype=np.int16)
+    relay_count = np.zeros(n_trees, dtype=np.int16)
+    for n, seq in enumerate(itertools.product(range(k), repeat=k - 2)):
+        adj = [[] for _ in range(k)]
+        for a, b in _prufer_decode(seq, k):
+            adj[a].append(b)
+            adj[b].append(a)
+        parent = [0] * k
+        depth = [0] * k
+        stack = [0]
+        seen = [False] * k
+        seen[0] = True
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    parent[nxt] = node
+                    depth[nxt] = depth[node] + 1
+                    stack.append(nxt)
+        parents[n] = parent
+        max_depth[n] = max(depth)
+        relay_count[n] = len({parent[x] for x in range(1, k)} - {0})
+    return parents, max_depth, relay_count
+
+
+def exhaustive_exact_graph(topology, rates, config):
+    """The exact planner as a scan of every tree of every size, with no
+    shortcut: the minimum over (energy, -seed cellular rate, seed, size,
+    member subset in combination order, Prüfer index), or None when that
+    energy does not beat everyone downloading alone. It shares the library's
+    Prüfer decoder and class-energy expression, so that float ties resolve
+    as in the library; brute_force_optimal is the independent check."""
+    from d2dlan import FormationGraph
+    from d2dlan.scenarios import _tree_energy
+
+    k = topology.mu_count
+    constants = config.power
+    alone = constants.p_rx_lr * constants.slot_duration
+    best_key = None
+    best_spec = None
+    for seed in range(k):
+        r_seed = float(rates.lr_rate[seed])
+        others = tuple(x for x in range(k) if x != seed)
+        for size in range(2, k + 1):
+            parents, max_depth, relay_count = rooted_tree_table(size)
+            depth_ok = max_depth <= config.max_hops
+            base_energy = _tree_energy(relay_count.astype(float), size,
+                                       constants) + alone * (k - size)
+            for chosen in itertools.combinations(others, size - 1):
+                members = np.array((seed,) + chosen)
+                sub = rates.sr_rate[np.ix_(members, members)]
+                edge_rate = sub[parents, np.arange(size)[None, :]]
+                thr = np.where(parents == 0, r_seed,
+                               np.take_along_axis(edge_rate,
+                                                  parents.astype(np.intp),
+                                                  axis=1))
+                ok = edge_rate >= thr
+                ok[:, 0] = True
+                idx = np.nonzero(ok.all(axis=1) & depth_ok)[0]
+                if idx.size == 0:
+                    continue
+                local = idx[int(np.argmin(base_energy[idx]))]
+                key = (float(base_energy[local]), -r_seed, seed)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_spec = (seed, members, parents[local])
+    if best_spec is None or best_key[0] >= alone * k - 1e-12:
+        return None
+    seed, members, canon = best_spec
+    parent_list = [None] * k
+    for x in range(1, len(members)):
+        parent_list[int(members[x])] = int(members[canon[x]])
+    return FormationGraph(seed, tuple(parent_list))

@@ -3,6 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from d2dlan import SessionConfig, monte_carlo
 from d2dlan.cli import summary_path
@@ -42,3 +43,15 @@ def test_table_describes_the_csv_it_wrote(tmp_path, capsys):
         assert feasible == f"{float(written['mcrcd', k, 'feasible']):.3f}"
         assert cev == f"{float(written['mcrcd', k, 'cev']):.4f}"
         assert gain != "+0.0%"
+
+
+@pytest.mark.parametrize("flag, value", [("--runs", "1"), ("--kmin", "1")])
+def test_bad_argument_prints_one_error_line(tmp_path, capsys, flag, value):
+    argv = ["--kmin", "3", "--kmax", "4", "--runs", "3", "--slots", "2",
+            "--out", str(tmp_path / "trends.csv"), flag, value]
+    assert _load_script().main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "trends.csv").exists()

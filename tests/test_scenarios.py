@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gain_topology, symmetric_gain_matrix
-from oracles import brute_force_optimal
+from oracles import brute_force_optimal, exhaustive_exact_graph
 
-from d2dlan import (RadioConfig, ReplicationError, SessionConfig,
+from d2dlan import (PowerConstants, RadioConfig, ReplicationError, SessionConfig,
                     generate_topology, monte_carlo, multicast_energy,
                     rate_table, run_mcrcd, run_multicast, run_optimal,
                     scenarios, summarize_values)
@@ -127,29 +130,97 @@ def test_optimal_two_mu_lan_never_beats_solo_download():
 
 
 def test_optimal_falls_back_without_links():
-    topo = gain_topology([1e-10, 1e-10, 1e-10],
-                         symmetric_gain_matrix(3, {(0, 1): 1e-15, (0, 2): 1e-15,
-                                                   (1, 2): 1e-15}))
-    cfg = config(k=3)
-    res = run_optimal(topo, cfg)
-    assert res.feasible_fraction == 0.0
-    assert res.per_mu_energy == (1.8,) * 3
-    base = run_multicast(topo, cfg)
-    assert res.per_mu_throughput == base.per_mu_throughput
+    three = gain_topology([1e-10, 1e-10, 1e-10],
+                          symmetric_gain_matrix(3, {(0, 1): 1e-15, (0, 2): 1e-15,
+                                                    (1, 2): 1e-15}))
+    # at K = 8 the search visits every energy class below the alone bound
+    eight = generate_topology(config(k=8), 0)
+    eight = replace(eight, gain_sr=eight.gain_sr * 1e-12)
+    for topo in (three, eight):
+        k = topo.mu_count
+        cfg = config(k=k)
+        res = run_optimal(topo, cfg)
+        assert res.optimal_mode == "exact"
+        assert res.feasible_fraction == 0.0
+        assert res.per_mu_energy == (1.8,) * k
+        base = run_multicast(topo, cfg)
+        assert res.per_mu_throughput == base.per_mu_throughput
 
 
 def test_optimal_exact_matches_brute_force():
-    cfg = config(k=4)
-    power = cfg.power
-    for run in range(12):
-        topo = generate_topology(cfg, run)
+    # the two non-default power sets make a full star cost more than
+    # everyone downloading alone, so a LAN must never be returned there
+    powers = (PowerConstants(),
+              PowerConstants(p_rx_lr=1.0, p_rx_sr=0.9, p_tx_sr=1.5),
+              PowerConstants(p_rx_lr=0.5, p_rx_sr=2.0, p_tx_sr=2.0))
+    for k, runs in ((4, 12), (5, 6)):
+        for power in powers:
+            cfg = config(k=k, power=power)
+            for run in range(runs):
+                topo = generate_topology(cfg, run)
+                rates = rate_table(topo)
+                res = run_optimal(topo, cfg, mode="exact")
+                expected, desc = brute_force_optimal(
+                    rates.lr_rate.tolist(),
+                    rates.sr_rate.tolist(),
+                    cfg.max_hops, power, k)
+                total = sum(res.per_mu_energy)
+                assert total == pytest.approx(expected, abs=1e-9), desc
+                multicast = sum(run_multicast(topo, cfg).per_mu_energy)
+                assert total <= multicast + 1e-9
+
+
+def _has_full_star(rates):
+    k = len(rates.lr_rate)
+    return any(all(rates.sr_rate[m, x] >= rates.lr_rate[m]
+                   for x in range(k) if x != m) for m in range(k))
+
+
+def test_optimal_exact_matches_exhaustive_scan():
+    """The search by energy class returns the very tree that a scan of every
+    labeled tree of every size returns, ties included."""
+    rng = np.random.default_rng(2024)
+    # float-equal classes: one more relay costs what one more MU left out
+    # costs, and a relay so cheap that every relay count of a size ties
+    tie_powers = (PowerConstants(1.0, 0.5, 0.5), PowerConstants(1.0, 0.5, 1e-17))
+    cases = []
+    for k in range(3, 8):
+        for i in range(40):
+            if i % 4 == 0:
+                power = tie_powers[i // 4 % 2]
+            else:
+                power = PowerConstants(*(float(v) for v in
+                                         rng.uniform(0.1, 3.0, size=3)))
+            cfg = SessionConfig(mu_count=k, runs=2, master_seed=i, power=power,
+                                max_hops=int(rng.choice([1, 2, 4, 7])),
+                                area_side=float(rng.choice([400.0, 1500.0])))
+            cases.append((cfg, generate_topology(cfg, 0)))
+    cfg = config(k=8)
+    starless = [topo for topo in (generate_topology(cfg, run) for run in range(20))
+                if not _has_full_star(rate_table(topo))]
+    cases += [(cfg, topo) for topo in starless[:3]]
+    assert len(cases) == 203
+    def tree(graph):
+        return None if graph is None else (graph.seed, graph.parent)
+
+    for cfg, topo in cases:
         rates = rate_table(topo)
-        res = run_optimal(topo, cfg, mode="exact")
-        expected, desc = brute_force_optimal(
-            rates.lr_rate.tolist(),
-            rates.sr_rate.tolist(),
-            cfg.max_hops, power, 4)
-        assert sum(res.per_mu_energy) == pytest.approx(expected, abs=1e-9), desc
+        assert tree(scenarios._best_exact_graph(topo, rates, cfg)) == \
+            tree(exhaustive_exact_graph(topo, rates, cfg)), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(3, 8), run=st.integers(0, 99),
+       area=st.sampled_from([400.0, 1500.0]), max_hops=st.integers(1, 4),
+       data=st.data())
+def test_optimal_energy_invariant_under_relabelling(k, run, area, max_hops, data):
+    cfg = config(k=k, area_side=area, max_hops=max_hops)
+    topo = generate_topology(cfg, run)
+    p = np.array(data.draw(st.permutations(range(k))))
+    moved = replace(topo, mu_positions=topo.mu_positions[p],
+                    gain_lr=topo.gain_lr[p], gain_sr=topo.gain_sr[p][:, p])
+    assert sum(run_optimal(moved, cfg).per_mu_energy) == pytest.approx(
+        sum(run_optimal(topo, cfg).per_mu_energy), abs=1e-9)
 
 
 def test_optimal_heuristic_never_beats_exact():
